@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Repo health check: tier-1 tests, a scenario fuzz smoke (25 seeds of
-# random-valid specs property-checked), a telemetry-enabled fleet smoke
-# run, a fault-injection scenario smoke, a resident-server smoke
-# (submit over HTTP, verify byte-identity vs direct run_spec, clean
-# SIGTERM), and validation of the benchmark artifacts (telemetry
-# overhead, fault resilience, streaming detection, server throughput).
+# Repo health check: tier-1 tests, tests/server ten times in a row (a
+# canary for tests that assume a job is still running), a scenario fuzz
+# smoke (25 seeds of random-valid specs property-checked), a
+# telemetry-enabled fleet smoke run, a fault-injection scenario smoke, a
+# resident-server smoke (submit over HTTP, verify byte-identity vs
+# direct run_spec, clean SIGTERM), and validation of the benchmark
+# artifacts (telemetry overhead, fault resilience, streaming detection,
+# server throughput).
 #
 # Usage:  scripts/check.sh [--fresh-bench]
 #   --fresh-bench   re-run the benchmarks even if BENCH_telemetry.json /
@@ -15,6 +17,14 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 pytest =="
 python -m pytest -x -q
+
+echo
+echo "== server tests, 10 consecutive runs (timing-race canary) =="
+for run in $(seq 1 10); do
+    python -m pytest -q -p no:cacheprovider tests/server > /dev/null \
+        || { echo "tests/server failed on run $run of 10"; exit 1; }
+done
+echo "tests/server: 10/10 runs passed"
 
 echo
 echo "== plugin registry smoke check =="

@@ -28,6 +28,7 @@ from repro.core.streaming import (
     StreamingConfig,
     StreamingDetector,
 )
+from repro.core.window import SlidingWindow
 
 
 def __getattr__(name):
@@ -63,6 +64,7 @@ __all__ = [
     "KernelSpec",
     "CommunityModel",
     "OnlineWindow",
+    "SlidingWindow",
     "StreamingConfig",
     "StreamingDetector",
     "TokenLifetimePolicy",

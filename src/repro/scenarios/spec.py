@@ -577,15 +577,34 @@ class ScenarioResult:
     )
 
     def compromised_devices(self) -> Set[str]:
-        """Union of every launched attack's ground truth."""
+        """Union of every launched attack's ground truth.
+
+        On multi-home specs every name is home-qualified, as in
+        :attr:`infected` (``home03/camera-1``): a single-home attack's
+        names get its :attr:`AttackSpec.home` prefix, and names that
+        already carry one (cross-home attacks) are kept as they are.
+        """
+        multi_home = len(self.spec.homes) > 1
         truth: Set[str] = set()
-        for outcome in self.outcomes:
-            if outcome is not None:
+        for attack, outcome in zip(self.spec.attacks, self.outcomes):
+            if outcome is None:
+                continue
+            if not multi_home:
                 truth |= outcome.compromised_devices
+                continue
+            truth |= {name if "/" in name else f"home{attack.home:02d}/{name}"
+                      for name in outcome.compromised_devices}
         return truth
 
     def detected_devices(self) -> Set[str]:
-        return {alert.device for alert in self.alerts if alert.device}
+        """Devices some alert names; home-qualified by the alerting
+        home on multi-home specs, comparable with
+        :meth:`compromised_devices`."""
+        if len(self.spec.homes) <= 1:
+            return {alert.device for alert in self.alerts if alert.device}
+        return {f"home{home.home_index:02d}/{alert.device}"
+                for home in self.homes for alert in home.alerts
+                if alert.device}
 
     def detection_latency_summary(self) -> Dict[str, Dict[str, float]]:
         """Detection latency (first contributing signal -> alert) per

@@ -16,11 +16,14 @@ authentication tokens based on the correlation results."
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.plugin import SecurityFunction, register
 from repro.core.signals import Layer, SecuritySignal, Severity, SignalType
+from repro.core.window import SlidingWindow
 from repro.service.identity import IdentityManager, UserRole
 from repro.service.oauth import OAuthServer, Scope, Token
 from repro.sim import Simulator
@@ -65,7 +68,8 @@ class DelegationProxy:
         self.cache_misses = 0
         self.cloud_auth_requests = 0
         self.proxy_auth_requests = 0
-        self._recent_failures: Dict[str, List[float]] = {}
+        self._recent_failures: Dict[str, SlidingWindow] = \
+            defaultdict(partial(SlidingWindow, self.FAILURE_WINDOW_S))
         self.decisions: List[AuthDecision] = []
 
     # -- public API ------------------------------------------------------------
@@ -176,9 +180,8 @@ class DelegationProxy:
     def _deny(self, username: str, device: str, reason: str,
               origin: str) -> AuthDecision:
         now = self.sim.now
-        failures = self._recent_failures.setdefault(username, [])
-        failures.append(now)
-        failures[:] = [t for t in failures if t >= now - self.FAILURE_WINDOW_S]
+        failures = self._recent_failures[username]
+        failures.push(now)
         self._report(SecuritySignal.make(
             Layer.DEVICE, SignalType.AUTH_FAILURE, "delegation-proxy",
             device, now, severity=Severity.INFO,

@@ -16,12 +16,13 @@ infection — that synthesis is the Core's job.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.core.plugin import SecurityFunction, register
 from repro.core.signals import Layer, SecuritySignal, Severity, SignalType
+from repro.core.window import SlidingWindow
 from repro.network.packet import Packet
 from repro.sim import Simulator
 
@@ -56,16 +57,18 @@ class DeviceBehaviorProfile:
         )
 
 
-@dataclass
-class _DeviceWindow:
-    """Sliding window of one device's recent traffic."""
-
-    timestamps: Deque[float] = field(default_factory=deque)
-    destinations: Deque[Tuple[float, str, int]] = field(default_factory=deque)
-
-
 class MaliciousActivityDetector:
-    """Observer over gateway-visible links."""
+    """Observer over gateway-visible links.
+
+    Each registered device has two exact sliding windows of destination
+    addresses (:class:`~repro.core.window.SlidingWindow`): a
+    ``SCAN_WINDOW_S`` one whose distinct live destinations are the scan
+    measure, and a ``DDOS_WINDOW_S`` one whose length is the packet rate
+    and whose largest count is the dominant target.  A DDoS signal needs
+    the top target to hold at least 80% of the window, so it is unique
+    whenever a signal fires: which of several tied targets ``max`` picks
+    never reaches a signal.
+    """
 
     SCAN_WINDOW_S = 30.0
     SCAN_DISTINCT_TARGETS = 8
@@ -77,18 +80,21 @@ class MaliciousActivityDetector:
         self.sim = sim
         self._report = report or (lambda signal: None)
         self._profiles: Dict[str, DeviceBehaviorProfile] = {}   # device name ->
-        self._windows: Dict[str, _DeviceWindow] = defaultdict(_DeviceWindow)
+        # device name -> (scan window, DDoS window), both keyed by dst.
+        self._windows: Dict[str, Tuple[SlidingWindow, SlidingWindow]] = {}
         self._last_state: Dict[str, str] = {}
         self._scan_flagged: Dict[str, float] = {}
         self._ddos_flagged: Dict[str, float] = {}
         self._destination_flagged: Dict[Tuple[str, str], float] = {}
         self.DESTINATION_COOLDOWN_S = 60.0
-        self.deviations: List[Tuple[float, str, str]] = []  # (t, device, kind)
 
     def register_device(self, device_name: str,
                         profile: DeviceBehaviorProfile) -> None:
         self._profiles[device_name] = profile
         self._last_state[device_name] = profile.states[0] if profile.states else ""
+        self._windows.setdefault(device_name, (
+            SlidingWindow(self.SCAN_WINDOW_S, counted=True),
+            SlidingWindow(self.DDOS_WINDOW_S, counted=True)))
 
     # -- observer ---------------------------------------------------------------
     def observe(self, packet: Packet) -> None:
@@ -96,21 +102,13 @@ class MaliciousActivityDetector:
         if device not in self._profiles or packet.is_cover_traffic:
             return
         now = self.sim.now
-        window = self._windows[device]
-        window.timestamps.append(now)
-        window.destinations.append((now, packet.dst, packet.dport))
-        self._trim(window, now)
+        scan, ddos = self._windows[device]
+        scan.push(now, packet.dst)
+        ddos.push(now, packet.dst)
         self._check_destination(device, packet, now)
-        self._check_scan(device, window, now)
-        self._check_ddos(device, window, now)
+        self._check_scan(device, scan, now)
+        self._check_ddos(device, ddos, now)
         self._check_state_claim(device, packet, now)
-
-    def _trim(self, window: _DeviceWindow, now: float) -> None:
-        horizon = now - max(self.SCAN_WINDOW_S, self.DDOS_WINDOW_S)
-        while window.timestamps and window.timestamps[0] < horizon:
-            window.timestamps.popleft()
-        while window.destinations and window.destinations[0][0] < horizon:
-            window.destinations.popleft()
 
     def _check_destination(self, device: str, packet: Packet,
                            now: float) -> None:
@@ -126,49 +124,42 @@ class MaliciousActivityDetector:
         if now - last < self.DESTINATION_COOLDOWN_S:
             return
         self._destination_flagged[key] = now
-        self.deviations.append((now, device, "unknown-destination"))
         self._report(SecuritySignal.make(
             Layer.NETWORK, SignalType.UNKNOWN_DESTINATION,
             "activity-detector", device, now,
             severity=Severity.WARNING, destination=packet.dst,
         ))
 
-    def _check_scan(self, device: str, window: _DeviceWindow,
+    def _check_scan(self, device: str, scan: SlidingWindow,
                     now: float) -> None:
-        recent = [(d, p) for t, d, p in window.destinations
-                  if t >= now - self.SCAN_WINDOW_S]
-        distinct = {d for d, _p in recent}
-        if len(distinct) < self.SCAN_DISTINCT_TARGETS:
+        distinct = len(scan.counts)
+        if distinct < self.SCAN_DISTINCT_TARGETS:
             return
         last = self._scan_flagged.get(device, -1e9)
         if now - last < self.SCAN_WINDOW_S:
             return  # one signal per window
         self._scan_flagged[device] = now
-        self.deviations.append((now, device, "scan"))
         self._report(SecuritySignal.make(
             Layer.NETWORK, SignalType.SCAN_PATTERN, "activity-detector",
             device, now, severity=Severity.CRITICAL,
-            distinct_targets=len(distinct),
+            distinct_targets=distinct,
         ))
 
-    def _check_ddos(self, device: str, window: _DeviceWindow,
+    def _check_ddos(self, device: str, ddos: SlidingWindow,
                     now: float) -> None:
-        recent = [t for t in window.timestamps if t >= now - self.DDOS_WINDOW_S]
-        if len(recent) < self.DDOS_PACKETS:
+        packets = len(ddos)
+        if packets < self.DDOS_PACKETS:
             return
-        # Dominated by one target?
-        targets = defaultdict(int)
-        for t, d, _p in window.destinations:
-            if t >= now - self.DDOS_WINDOW_S:
-                targets[d] += 1
-        top_target, top_count = max(targets.items(), key=lambda kv: kv[1])
-        if top_count < 0.8 * len(recent):
-            return
+        # The cooldown is tested before the O(targets) dominance scan;
+        # neither test has side effects, so their order is free.
         last = self._ddos_flagged.get(device, -1e9)
         if now - last < self.DDOS_WINDOW_S:
             return
+        # Dominated by one target?
+        top_target, top_count = max(ddos.counts.items(), key=itemgetter(1))
+        if top_count < 0.8 * packets:
+            return
         self._ddos_flagged[device] = now
-        self.deviations.append((now, device, "ddos"))
         self._report(SecuritySignal.make(
             Layer.NETWORK, SignalType.DDOS_PATTERN, "activity-detector",
             device, now, severity=Severity.CRITICAL,
@@ -191,14 +182,12 @@ class MaliciousActivityDetector:
         profile = self._profiles[device]
         previous = self._last_state.get(device, "")
         if previous and claimed not in profile.states:
-            self.deviations.append((now, device, "impossible-state"))
             self._report(SecuritySignal.make(
                 Layer.NETWORK, SignalType.BEHAVIOR_DEVIATION,
                 "activity-detector", device, now,
                 severity=Severity.CRITICAL, state=claimed,
             ))
         elif previous and not profile.transition_allowed(previous, claimed):
-            self.deviations.append((now, device, "illegal-transition"))
             self._report(SecuritySignal.make(
                 Layer.NETWORK, SignalType.BEHAVIOR_DEVIATION,
                 "activity-detector", device, now,

@@ -17,10 +17,12 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.plugin import SecurityFunction, register
 from repro.core.signals import Layer, SecuritySignal, Severity, SignalType
+from repro.core.window import SlidingWindow
 from repro.security.service.timeseries import TelemetryForecaster
 from repro.sim import Simulator
 
@@ -66,7 +68,8 @@ class SecurityAnalytics:
         self.forecaster = TelemetryForecaster() if use_forecaster else None
         self._sensor_stats: Dict[Tuple[str, str], _RunningStats] = \
             defaultdict(_RunningStats)
-        self._message_times: Dict[str, List[float]] = defaultdict(list)
+        self._message_times: Dict[str, SlidingWindow] = \
+            defaultdict(partial(SlidingWindow, self.RATE_WINDOW_S))
         self._baseline_rates: Dict[str, float] = {}
         # Silence detection: per-device last-seen and inter-arrival EMA.
         self._last_seen: Dict[str, float] = {}
@@ -133,8 +136,7 @@ class SecurityAnalytics:
         self._message_counts[device_id] += 1
         self._silence_flagged.discard(device_id)  # it spoke again
         times = self._message_times[device_id]
-        times.append(now)
-        times[:] = [t for t in times if t >= now - self.RATE_WINDOW_S]
+        times.push(now)
         rate = len(times) / self.RATE_WINDOW_S
         baseline = self._baseline_rates.get(device_id)
         if baseline is None:
@@ -152,7 +154,7 @@ class SecurityAnalytics:
                 kind="keepalive-spike", rate=round(rate, 3),
                 baseline=round(baseline, 3),
             ))
-            self._message_times[device_id] = []
+            times.clear()
 
     # -- silence detection ---------------------------------------------------------
     SILENCE_FACTOR = 4.0

@@ -8,11 +8,13 @@ attempts (403 streaks) and anonymous probing (401 streaks) — the
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Callable, Deque, Dict, Optional
+from collections import defaultdict
+from functools import partial
+from typing import Callable, Dict, Optional
 
 from repro.core.plugin import SecurityFunction, register
 from repro.core.signals import Layer, SecuritySignal, Severity, SignalType
+from repro.core.window import SlidingWindow
 from repro.network.protocols.http import HttpRequest, HttpResponse
 from repro.service.api import RestApi
 from repro.sim import Simulator
@@ -30,7 +32,8 @@ class ApiGuard:
         self.sim = sim
         self.api = api
         self._report = report or (lambda signal: None)
-        self._request_times: Dict[str, Deque[float]] = defaultdict(deque)
+        self._request_times: Dict[str, SlidingWindow] = \
+            defaultdict(partial(SlidingWindow, self.RATE_WINDOW_S))
         self._denial_streaks: Dict[str, int] = defaultdict(int)
         self.rate_limited = 0
         self.abuse_signals = 0
@@ -47,9 +50,7 @@ class ApiGuard:
         subject = self._subject_of(request)
         now = self.sim.now
         times = self._request_times[subject]
-        times.append(now)
-        while times and times[0] < now - self.RATE_WINDOW_S:
-            times.popleft()
+        times.push(now)
         if len(times) > self.MAX_REQUESTS_PER_WINDOW:
             self.rate_limited += 1
             self._signal(subject, "rate-limit")

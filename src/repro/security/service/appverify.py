@@ -18,10 +18,11 @@ cloud's own logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.plugin import SecurityFunction, register
 from repro.core.signals import Layer, SecuritySignal, Severity, SignalType
+from repro.core.window import SlidingWindow
 from repro.service.cloud import CloudPlatform
 from repro.service.smartapps import SmartApp, TriggerActionRule
 from repro.sim import Simulator
@@ -51,8 +52,8 @@ class ApplicationVerifier:
         # so the correlator can join this layer's signals with theirs.
         self._display_name = display_name or (lambda device_id: device_id)
         self._rules: List[TriggerActionRule] = []
-        self._recent_events: List[Tuple[float, str, str, object]] = []
-        self.observed_commands: List[ObservedCommand] = []
+        # (t, (device_id, attribute, value)) for the last ten windows.
+        self._recent_events = SlidingWindow(10 * self.EXPLANATION_WINDOW_S)
         self.unexplained: List[ObservedCommand] = []
         self._reported_overprivileged: set = set()
         self._reported_exfil_count = 0
@@ -64,16 +65,11 @@ class ApplicationVerifier:
 
     def note_event(self, device_id: str, attribute: str, value) -> None:
         """Feed events as the gateway observes them going upstream."""
-        self._recent_events.append((self.sim.now, device_id, attribute, value))
-        horizon = self.sim.now - 10 * self.EXPLANATION_WINDOW_S
-        self._recent_events = [
-            e for e in self._recent_events if e[0] >= horizon
-        ]
+        self._recent_events.push(self.sim.now, (device_id, attribute, value))
 
     def note_command(self, device_id: str, command: str) -> None:
         """Feed commands as they arrive at devices; verify provenance."""
         observed = ObservedCommand(self.sim.now, device_id, command)
-        self.observed_commands.append(observed)
         if not self._explained(observed):
             self.unexplained.append(observed)
             self._report(SecuritySignal.make(
@@ -93,7 +89,7 @@ class ApplicationVerifier:
             return False
         window_start = observed.timestamp - self.EXPLANATION_WINDOW_S
         for rule in candidates:
-            for t, device_id, attribute, value in self._recent_events:
+            for t, (device_id, attribute, value) in self._recent_events:
                 if t < window_start or t > observed.timestamp:
                     continue
                 if device_id != rule.trigger_device:

@@ -38,6 +38,7 @@ import asyncio
 import contextlib
 import signal
 import sys
+import threading
 from typing import Callable, Optional
 
 from repro.server.jobs import Job, JobQueue, JobState
@@ -54,12 +55,14 @@ async def serve(host: str = "127.0.0.1", port: int = 8787,
                 ready: Optional[asyncio.Event] = None,
                 shutdown: Optional[asyncio.Event] = None,
                 on_bound: Optional[Callable[[HttpServer], None]] = None,
-                quiet: bool = False) -> int:
+                quiet: bool = False,
+                hold: Optional[threading.Event] = None) -> int:
     """Run the service until SIGTERM/SIGINT (or ``shutdown`` is set),
     then drain gracefully: stop accepting jobs, finish accepted ones,
-    close the sockets.  Returns 0 on a clean drain."""
+    close the sockets.  Returns 0 on a clean drain.  ``hold`` is
+    :class:`FleetService`'s job-boundary test seam."""
     store = ResultStore(capacity=store_capacity, spill_path=spill_path)
-    service = FleetService(workers=workers, store=store)
+    service = FleetService(workers=workers, store=store, hold=hold)
     await service.start()
     http = HttpServer(service, host=host, port=port,
                       sse_keepalive_s=sse_keepalive_s)

@@ -11,6 +11,12 @@ thread, waits for the socket to bind, and drains it on exit::
         client.wait(job["id"])
 
 The served port is always ephemeral (``port=0``) unless pinned.
+
+Tests that must act on a job *while it runs* pass a cleared
+``threading.Event`` as ``hold``: each job then waits at its first home
+(or journaled epoch) boundary until the test sets the event, so no test
+depends on a job being slow.  :meth:`BackgroundServer.stop` sets it, so
+a failing test never wedges the drain.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ class BackgroundServer:
                  workers: int = 2, store_capacity: int = 64,
                  spill_path: Optional[str] = None,
                  sse_keepalive_s: float = 2.0,
-                 startup_timeout_s: float = 30.0):
+                 startup_timeout_s: float = 30.0,
+                 hold: Optional[threading.Event] = None):
         self.host = host
         self.port = port
         self.workers = workers
@@ -38,6 +45,7 @@ class BackgroundServer:
         self.spill_path = spill_path
         self.sse_keepalive_s = sse_keepalive_s
         self.startup_timeout_s = startup_timeout_s
+        self.hold = hold
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -57,6 +65,8 @@ class BackgroundServer:
 
     def stop(self, join_timeout_s: float = 120.0) -> None:
         """Trigger a graceful drain and wait for the thread to finish."""
+        if self.hold is not None:
+            self.hold.set()
         if self._loop is not None and self._shutdown is not None:
             try:
                 self._loop.call_soon_threadsafe(self._shutdown.set)
@@ -103,6 +113,6 @@ class BackgroundServer:
                         spill_path=self.spill_path,
                         sse_keepalive_s=self.sse_keepalive_s,
                         ready=ready, shutdown=self._shutdown,
-                        on_bound=_on_bound, quiet=True)
+                        on_bound=_on_bound, quiet=True, hold=self.hold)
         finally:
             flagger.cancel()

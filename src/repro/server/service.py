@@ -71,10 +71,15 @@ class FleetService:
 
     def __init__(self, workers: int = 2,
                  store: Optional[ResultStore] = None,
-                 max_spec_homes: int = 10_000):
+                 max_spec_homes: int = 10_000,
+                 hold: Optional[threading.Event] = None):
         if workers < 1:
             raise ValueError("FleetService needs at least one worker")
         self.workers = workers
+        # Test seam: while ``hold`` is clear, every running job waits at
+        # its next home or epoch boundary, before the cancel/timeout
+        # checks, so a test can act on a job it knows is running.
+        self.hold = hold
         self.store = store if store is not None else ResultStore()
         self.max_spec_homes = max_spec_homes
         self.jobs: Dict[str, Job] = {}
@@ -242,6 +247,8 @@ class FleetService:
                 self.live.counter("server.homes_completed").inc()
                 if home.degraded:
                     self.live.counter("server.homes_degraded").inc()
+            if self.hold is not None:
+                self.hold.wait()
             if job.cancel_requested:
                 raise JobInterrupted(JobState.CANCELLED)
             if deadline is not None and time.monotonic() > deadline:
@@ -251,6 +258,8 @@ class FleetService:
             # The epoch-granular interruption point for journaled jobs:
             # the supervisor has just fsynced the boundary record, so an
             # abort here leaves a well-formed, truncation-marked journal.
+            if self.hold is not None:
+                self.hold.wait()
             if job.cancel_requested:
                 raise JobInterrupted(JobState.CANCELLED)
             if deadline is not None and time.monotonic() > deadline:

@@ -194,6 +194,27 @@ class TestRunSpec:
             [a.timestamp for a in botnet_result.alerts]
         assert again.infected == botnet_result.infected
 
+    def test_multi_home_detection_names_are_home_qualified(self):
+        """Two homes each lose a ``camera-1``: the accessors must keep
+        them apart the way ``infected`` does."""
+        spec = ScenarioSpec(
+            name="t",
+            homes=[HomeSpec(), HomeSpec()],
+            attacks=[AttackSpec(attack="mirai-botnet", home=i,
+                                params={"run_ddos": False})
+                     for i in range(2)],
+            xlf=XlfConfig.full(),
+            seed=3,
+            duration_s=90.0,
+        )
+        result = run_spec(spec)
+        assert all("/" not in name for outcome in result.outcomes
+                   for name in outcome.compromised_devices)
+        truth = result.compromised_devices()
+        assert {"home00/camera-1", "home01/camera-1"} <= truth
+        assert truth == result.infected
+        assert result.detected_devices() == truth
+
     def test_delayed_attack_launches_later(self):
         spec = ScenarioSpec(
             homes=[HomeSpec()],

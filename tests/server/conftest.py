@@ -1,5 +1,7 @@
 """Server tests touch process-global telemetry; restore it afterwards."""
 
+import time
+
 import pytest
 
 from repro import telemetry
@@ -15,6 +17,16 @@ def restore_telemetry():
         telemetry.enable()
     else:
         telemetry.disable()
+
+
+def wait_until_running(client, job_id, timeout_s=60.0):
+    """Poll until ``job_id`` leaves the queue.  Pair it with a
+    BackgroundServer ``hold``: a held job then stays running until the
+    test releases it."""
+    deadline = time.monotonic() + timeout_s
+    while client.job(job_id)["state"] == "queued":
+        assert time.monotonic() < deadline
+        time.sleep(0.02)
 
 
 def tiny_spec(name="tiny", seed=7, homes=1, duration_s=25.0,

@@ -5,7 +5,7 @@ progresses; DELETE /jobs/<id> interrupts the run at the next epoch
 boundary and leaves a well-formed, truncation-marked journal behind.
 """
 
-import time
+import threading
 
 import pytest
 
@@ -13,13 +13,20 @@ from repro.runtime import read_journal
 from repro.server.background import BackgroundServer
 from repro.server.client import ServerError
 
-from tests.server.conftest import tiny_spec
+from tests.server.conftest import tiny_spec, wait_until_running
 
 
 class TestJournaledJobs:
     @pytest.fixture(scope="class")
-    def server(self):
-        with BackgroundServer(workers=1) as instance:
+    def hold(self):
+        """The server's job gate: open unless a test closes it."""
+        gate = threading.Event()
+        gate.set()
+        return gate
+
+    @pytest.fixture(scope="class")
+    def server(self, hold):
+        with BackgroundServer(workers=1, hold=hold) as instance:
             yield instance
 
     def test_completed_job_leaves_full_journal(self, server, tmp_path):
@@ -37,22 +44,23 @@ class TestJournaledJobs:
         assert records[-1]["t"] == "run-end"
         assert any(r["t"] == "epoch" for r in records)
 
-    def test_cancel_truncates_journal_at_epoch_boundary(self, server,
+    def test_cancel_truncates_journal_at_epoch_boundary(self, server, hold,
                                                         tmp_path):
-        """The satellite contract: DELETE on a running journaled job
-        stops it at the next epoch boundary; every journal line parses
-        and the final record is the ``truncated`` marker."""
+        """DELETE on a running journaled job stops it at the next epoch
+        boundary; every journal line parses and the final record is the
+        ``truncated`` marker."""
         client = server.client()
         path = tmp_path / "cancelled.jsonl"
-        job = client.submit(
-            tiny_spec(name="long", homes=4, duration_s=90.0),
-            journal=str(path))
-        deadline = time.monotonic() + 60
-        while client.job(job["id"])["state"] == "queued":
-            assert time.monotonic() < deadline
-            time.sleep(0.02)
-        summary = client.cancel(job["id"])
-        assert summary["cancel_requested"]
+        hold.clear()
+        try:
+            job = client.submit(
+                tiny_spec(name="long", homes=4, duration_s=90.0),
+                journal=str(path))
+            wait_until_running(client, job["id"])
+            summary = client.cancel(job["id"])
+            assert summary["cancel_requested"]
+        finally:
+            hold.set()
         final = client.wait(job["id"], timeout=120)
         assert final["state"] == "cancelled"
         # read_journal raises on any malformed (non-final) line, so a

@@ -7,7 +7,7 @@ costs real wall time); tests needing special server configuration
 
 import asyncio
 import json
-import time
+import threading
 
 import pytest
 
@@ -19,15 +19,23 @@ from repro.server.client import ServerClient, ServerError
 from repro.server.service import FleetService, ServiceDraining
 from repro.server.store import canonical_json, result_to_dict
 
-from tests.server.conftest import tiny_spec
+from tests.server.conftest import tiny_spec, wait_until_running
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="platform lacks fork start method")
 
 
 @pytest.fixture(scope="module")
-def server():
-    with BackgroundServer(workers=2) as instance:
+def hold():
+    """The shared server's job gate: open unless a test closes it."""
+    gate = threading.Event()
+    gate.set()
+    return gate
+
+
+@pytest.fixture(scope="module")
+def server(hold):
+    with BackgroundServer(workers=2, hold=hold) as instance:
         yield instance
 
 
@@ -186,11 +194,15 @@ class TestErrorPaths:
             client.submit(tiny_spec(), timeout_s=-1)
         assert exc.value.status == 400
 
-    def test_result_before_done_409(self, client):
-        job = client.submit(tiny_spec(name="slow", duration_s=120.0))
-        with pytest.raises(ServerError) as exc:
-            client.result(job["id"])
-        assert exc.value.status == 409
+    def test_result_before_done_409(self, client, hold):
+        hold.clear()
+        try:
+            job = client.submit(tiny_spec(name="slow", duration_s=120.0))
+            with pytest.raises(ServerError) as exc:
+                client.result(job["id"])
+            assert exc.value.status == 409
+        finally:
+            hold.set()
         client.wait(job["id"], timeout=120)
 
     def test_method_not_allowed_405(self, client):
@@ -204,13 +216,15 @@ class TestErrorPaths:
 
 class TestPriorityAndCancel:
     def test_priority_order_and_queued_cancel(self):
-        """With one worker: a long job occupies it; a high-priority job
+        """With one worker: a held job occupies it; a high-priority job
         then overtakes a low-priority one, and a queued job dies
         instantly when cancelled."""
-        with BackgroundServer(workers=1) as server:
+        hold = threading.Event()
+        with BackgroundServer(workers=1, hold=hold) as server:
             client = server.client()
             blocker = client.submit(tiny_spec(name="blocker",
                                               duration_s=90.0))
+            wait_until_running(client, blocker["id"])
             low = client.submit(tiny_spec(name="low", seed=1,
                                           duration_s=10.0, attack=False,
                                           activity=False), priority=0)
@@ -224,6 +238,7 @@ class TestPriorityAndCancel:
             events = list(client.events(doomed["id"]))
             assert events[-1][0] == "cancelled"
 
+            hold.set()
             assert client.wait(blocker["id"], timeout=120)["state"] == "done"
             low_final = client.wait(low["id"], timeout=120)
             high_final = client.wait(high["id"], timeout=120)
@@ -231,16 +246,15 @@ class TestPriorityAndCancel:
 
     def test_cancel_running_job_cooperatively(self):
         """A multi-home running job stops at the next home boundary."""
-        with BackgroundServer(workers=1) as server:
+        hold = threading.Event()
+        with BackgroundServer(workers=1, hold=hold) as server:
             client = server.client()
             job = client.submit(tiny_spec(name="big", homes=6,
                                           duration_s=60.0))
-            deadline = time.monotonic() + 60
-            while client.job(job["id"])["state"] == "queued":
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
+            wait_until_running(client, job["id"])
             summary = client.cancel(job["id"])
             assert summary["cancel_requested"]
+            hold.set()
             final = client.wait(job["id"], timeout=120)
             assert final["state"] == "cancelled"
             assert final["homes_done"] < final["homes_total"]
